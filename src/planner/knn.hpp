@@ -26,7 +26,10 @@
 /// allocation once warm); `nearest_batch()` amortizes call overhead across
 /// a query batch into a caller-owned reusable buffer. Finders are *not*
 /// thread-safe for concurrent queries — each worker owns its finder, which
-/// matches how the planners already use them.
+/// matches how the planners already use them. The one exception is
+/// `KdTreeKnn`'s const traversal, which takes caller-owned scratch: any
+/// number of threads may run it at once on an index nobody mutates (the
+/// service layer's per-snapshot index, service/snapshot.hpp).
 ///
 /// Both report visited-candidate counts so k-NN work feeds the load model.
 
@@ -117,18 +120,40 @@ class BruteForceKnn final : public NeighborFinder {
 };
 
 /// Leaf-bucketed kd-tree over positions with an insertion buffer.
-/// `insert` only appends to the buffer; `nearest` rebuilds the tree over
-/// every point first when the buffer holds at least 32 points and at
-/// least a quarter of the indexed count. That is the one rebuild policy:
-/// a bulk insert followed by queries builds the tree exactly once, and
-/// interleaved insert/query (RRT) rebuilds at geometrically growing sizes
-/// (amortized O(log n) per insertion without rebalancing machinery).
+/// `insert` only appends to the buffer; `refresh` rebuilds the tree over
+/// every point when the buffer holds at least 32 points and at least a
+/// quarter of the indexed count, and the mutable `nearest` calls it before
+/// every query. That is the one rebuild policy: a bulk insert followed by
+/// queries builds the tree exactly once, and interleaved insert/query
+/// (RRT) rebuilds at geometrically growing sizes (amortized O(log n) per
+/// insertion without rebalancing machinery).
 /// Internal nodes store only a split plane; points live in leaf buckets
-/// laid out SoA (`px_/py_/pz_`) so the per-leaf distance scan is
+/// laid out SoA (`px/py/pz`) so the per-leaf distance scan is
 /// branch-light and cache-friendly.
+///
+/// The built tree is immutable and held by `shared_ptr<const>`: copying a
+/// KdTreeKnn shares the tree and copies only the insertion buffer, so an
+/// index can be extended into a new one (copy, insert, refresh) while the
+/// original keeps answering. The const `nearest` overload is the one
+/// traversal; it writes only the caller's `Scratch`.
 class KdTreeKnn final : public NeighborFinder {
+  /// Deferred subtree visit: `bound` is a positional lower bound on the
+  /// distance from the query to anything in the subtree.
+  struct Visit {
+    std::uint32_t node;
+    double bound;
+  };
+
  public:
   static constexpr std::size_t kDefaultLeafSize = 12;
+
+  /// Query scratch for the const traversal; one per querying thread.
+  /// The span a query returns aliases it until its next use.
+  class Scratch {
+    friend class KdTreeKnn;
+    std::vector<Neighbor> heap_;
+    std::vector<Visit> stack_;
+  };
 
   explicit KdTreeKnn(const cspace::CSpace& space,
                      std::size_t leaf_size = kDefaultLeafSize)
@@ -136,18 +161,43 @@ class KdTreeKnn final : public NeighborFinder {
 
   void insert(graph::VertexId id, const cspace::Config& c) override;
 
+  /// Rebuild the tree over every point if the rebuild rule fires (see the
+  /// class comment); returns whether it rebuilt.
+  bool refresh();
+
+  /// `refresh`, then the const traversal on this finder's own scratch.
   std::span<const Neighbor> nearest(const cspace::Config& q, std::size_t k,
                                     PlannerStats* stats = nullptr) override;
 
-  std::size_t size() const noexcept override { return ids_.size(); }
+  /// The traversal: the tree, then the insertion buffer, in canonical
+  /// order. Never rebuilds; writes only `scratch`.
+  std::span<const Neighbor> nearest(const cspace::Config& q, std::size_t k,
+                                    Scratch& scratch,
+                                    PlannerStats* stats = nullptr) const;
+
+  using NeighborFinder::nearest_batch;
+  /// `nearest_batch` over the const traversal.
+  void nearest_batch(std::span<const cspace::Config> queries, std::size_t k,
+                     KnnBatch& out, Scratch& scratch,
+                     PlannerStats* stats = nullptr) const;
+
+  std::size_t size() const noexcept override {
+    return indexed_size() + ids_.size();
+  }
 
   /// Points covered by the built tree; the rest sit in the linear
   /// insertion buffer. Exposed for rebuild-policy tests.
-  std::size_t indexed_size() const noexcept { return indexed_; }
+  std::size_t indexed_size() const noexcept {
+    return tree_ != nullptr ? tree_->ids.size() : 0;
+  }
+
+  /// Observes the built tree, which copies of this index share; it
+  /// expires when the last index holding the tree is destroyed or
+  /// rebuilt. Exposed for reclamation tests.
+  std::weak_ptr<const void> tree_handle() const noexcept { return tree_; }
 
  private:
   static constexpr std::uint8_t kLeafAxis = 3;
-  static constexpr std::uint32_t kNoNode = 0xffffffffu;
 
   struct Node {
     double split = 0.0;     ///< internal: split-plane coordinate
@@ -156,35 +206,34 @@ class KdTreeKnn final : public NeighborFinder {
     std::uint8_t axis = 0;  ///< 0..2 for internal nodes, kLeafAxis for leaves
   };
 
-  /// Deferred subtree visit: `bound` is a positional lower bound on the
-  /// distance from the query to anything in the subtree.
-  struct Visit {
-    std::uint32_t node;
-    double bound;
+  /// Points indexed by insertion order, and the tree over them. perm maps
+  /// leaf-contiguous slots to point indices; px/py/pz hold slot positions
+  /// as SoA for the leaf distance scan.
+  struct Tree {
+    std::vector<graph::VertexId> ids;
+    std::vector<cspace::Config> cfgs;
+    std::vector<geo::Vec3> pos;
+    std::vector<Node> nodes;
+    std::vector<std::uint32_t> perm;
+    std::vector<double> px, py, pz;
+    std::uint32_t root = 0;
   };
 
   void rebuild();
-  std::uint32_t build_subtree(std::size_t lo, std::size_t hi);
+  static std::uint32_t build_subtree(Tree& t, std::size_t leaf_size,
+                                     std::size_t lo, std::size_t hi);
 
   const cspace::CSpace* space_;
   std::size_t leaf_size_;
 
-  // Master point storage, indexed by insertion order.
+  std::shared_ptr<const Tree> tree_;  ///< null until the first rebuild
+
+  // Insertion buffer: points added since the last rebuild.
   std::vector<graph::VertexId> ids_;
   std::vector<cspace::Config> cfgs_;
   std::vector<geo::Vec3> pos_;
 
-  // Built tree. perm_ maps leaf-contiguous slots to master indices;
-  // px_/py_/pz_ hold slot positions as SoA for the leaf distance scan.
-  std::vector<Node> nodes_;
-  std::vector<std::uint32_t> perm_;
-  std::vector<double> px_, py_, pz_;
-  std::uint32_t root_ = kNoNode;
-  std::size_t indexed_ = 0;  ///< points included in the built tree
-
-  // Per-query scratch, reused so nearest() is allocation-free once warm.
-  std::vector<Neighbor> heap_;
-  std::vector<Visit> stack_;
+  Scratch scratch_;  ///< the mutable nearest's scratch
 };
 
 /// Factory: kd-tree by default, brute force for exactness-sensitive users.

@@ -107,19 +107,6 @@ runtime::MetricsRegistry& QueryEngine::registry() const noexcept {
                                  : runtime::MetricsRegistry::global();
 }
 
-void QueryEngine::ensure_finder(const RoadmapSnapshot& snap) {
-  if (finder_ != nullptr && finder_epoch_ == snap.epoch) return;
-  // The finder copies every configuration it indexes, so it stays valid
-  // after the snapshot pin is dropped; it is rebuilt once per epoch and
-  // amortized over every query answered against that epoch.
-  finder_ = planner::make_neighbor_finder(env_->space(), cfg_.exact_knn);
-  const auto n = static_cast<graph::VertexId>(snap.roadmap.num_vertices());
-  for (graph::VertexId v = 0; v < n; ++v)
-    finder_->insert(v, snap.roadmap.vertex(v).cfg);
-  finder_epoch_ = snap.epoch;
-  registry().add("service/finder_rebuilds", 1);
-}
-
 void QueryEngine::record(const QueryRequest& q, QueryResult& r,
                          double start_s) {
   (void)q;
@@ -169,7 +156,11 @@ std::vector<QueryResult> QueryEngine::run_batch(
   }
   const std::uint64_t epoch = snap->epoch;
   registry().set("service/epoch", static_cast<double>(epoch));
-  ensure_finder(*snap);
+  const planner::KdTreeKnn& index = snap->index(env_->space());
+  if (epoch != served_epoch_) {
+    served_epoch_ = epoch;
+    if (snap->index_rebuilt) registry().add("service/finder_rebuilds", 1);
+  }
 
   runtime::TraceBuffer* admit_track =
       cfg_.tracer != nullptr ? cfg_.tracer->thread_track("service admit")
@@ -221,7 +212,7 @@ std::vector<QueryResult> QueryEngine::run_batch(
     qcfgs.push_back(queries[i].goal);
   }
   if (live.empty()) return results;
-  finder_->nearest_batch(qcfgs, kmax, knn_scratch_, &st);
+  index.nearest_batch(qcfgs, kmax, knn_batch_, knn_scratch_, &st);
 
   // Stage 2 — cross-query edge validation: every attachment candidate of
   // every live query flows through one speculative window, so the wide
@@ -275,8 +266,8 @@ std::vector<QueryResult> QueryEngine::run_batch(
       continue;
     }
     admit(q.start, q.goal, make_tag(i, kKindDirect, 0));
-    const auto start_nn = knn_scratch_.of(2 * li);
-    const auto goal_nn = knn_scratch_.of(2 * li + 1);
+    const auto start_nn = knn_batch_.of(2 * li);
+    const auto goal_nn = knn_batch_.of(2 * li + 1);
     const std::size_t ks = std::min(q.k, start_nn.size());
     for (std::size_t j = 0; j < ks; ++j)
       admit(q.start, g.vertex(start_nn[j].id).cfg,

@@ -6,9 +6,10 @@
 /// roadmap snapshot (service/snapshot.hpp). The per-query costs that
 /// one-shot querying pays over and over are amortized *across* queries:
 ///
-///  - the k-NN finder is built once per snapshot epoch and reused for
-///    every query until the next epoch (query_roadmap rebuilds it per
-///    call — the dominant per-query cost on large roadmaps);
+///  - k-NN runs on the pinned snapshot's own index (RoadmapSnapshot::index),
+///    which the publisher built or extended once for that epoch
+///    (query_roadmap builds a finder per call — the dominant per-query cost
+///    on large roadmaps);
 ///  - all start/goal k-NN lookups of a wave run through one KnnBatch;
 ///  - all attachment edges (direct start->goal shots plus start/goal
 ///    k-NN connections) of a wave validate through one EdgeBatchPlanner
@@ -76,11 +77,12 @@ struct QueryEngineConfig {
   std::size_t workers = 0;   ///< 0: hardware concurrency
   double resolution = 1.0;   ///< local-plan validation step
   std::size_t edge_window = 8;  ///< cross-query edge batching window
-  bool exact_knn = false;
   /// Metrics sink; nullptr = MetricsRegistry::global(). Published live:
   ///   counters  service/queries_total, service/queries_solved,
   ///             service/queries_unreachable, service/queries_invalid,
-  ///             service/deadline_missed, service/finder_rebuilds
+  ///             service/deadline_missed, service/finder_rebuilds (epochs
+  ///             served whose index was built from scratch, not extended
+  ///             from the previous epoch's; RoadmapSnapshot::index_rebuilt)
   ///   histogram service/latency_us (log2 buckets)
   ///   gauges    service/epoch (snapshot answered against)
   runtime::MetricsRegistry* metrics = nullptr;
@@ -140,7 +142,6 @@ class QueryEngine {
   struct PreparedQuery;
 
   runtime::MetricsRegistry& registry() const noexcept;
-  void ensure_finder(const RoadmapSnapshot& snap);
   void record(const QueryRequest& q, QueryResult& r, double start_s);
 
   const env::Environment* env_;
@@ -148,11 +149,9 @@ class QueryEngine {
   QueryEngineConfig cfg_;
   std::unique_ptr<runtime::Scheduler> sched_;
 
-  // Per-epoch k-NN finder cache: rebuilt when the pinned epoch changes,
-  // amortized across every query of every wave until the next epoch.
-  std::unique_ptr<planner::NeighborFinder> finder_;
-  std::uint64_t finder_epoch_ = 0;
-  planner::KnnBatch knn_scratch_;
+  std::uint64_t served_epoch_ = 0;  ///< last epoch a wave ran against
+  planner::KdTreeKnn::Scratch knn_scratch_;
+  planner::KnnBatch knn_batch_;
 
   std::mutex queue_mutex_;
   std::vector<std::pair<std::uint64_t, QueryRequest>> queue_;

@@ -3,7 +3,6 @@
 #include <thread>
 
 #include "cspace/local_planner.hpp"
-#include "planner/knn.hpp"
 
 namespace pmpl::service {
 
@@ -11,13 +10,31 @@ namespace {
 std::atomic<std::uint64_t> g_live_snapshots{0};
 }  // namespace
 
-RoadmapSnapshot::RoadmapSnapshot(planner::Roadmap g, std::uint64_t ep)
-    : roadmap(std::move(g)), epoch(ep) {
+RoadmapSnapshot::RoadmapSnapshot(planner::Roadmap g) : roadmap(std::move(g)) {
+  g_live_snapshots.fetch_add(1, std::memory_order_relaxed);
+}
+
+RoadmapSnapshot::RoadmapSnapshot(planner::Roadmap g, planner::KdTreeKnn index,
+                                 bool rebuilt)
+    : roadmap(std::move(g)), index_rebuilt(rebuilt), index_(std::move(index)) {
   g_live_snapshots.fetch_add(1, std::memory_order_relaxed);
 }
 
 RoadmapSnapshot::~RoadmapSnapshot() {
   g_live_snapshots.fetch_sub(1, std::memory_order_relaxed);
+}
+
+const planner::KdTreeKnn& RoadmapSnapshot::index(
+    const cspace::CSpace& space) const {
+  std::call_once(index_once_, [&] {
+    if (index_.has_value()) return;
+    planner::KdTreeKnn idx(space);
+    const auto n = static_cast<graph::VertexId>(roadmap.num_vertices());
+    for (graph::VertexId v = 0; v < n; ++v) idx.insert(v, roadmap.vertex(v).cfg);
+    idx.refresh();
+    index_.emplace(std::move(idx));
+  });
+  return *index_;
 }
 
 std::uint64_t RoadmapSnapshot::live_count() noexcept {
@@ -93,10 +110,21 @@ std::uint32_t SnapshotPool::claim_empty_slot() noexcept {
 }
 
 std::uint64_t SnapshotPool::publish(planner::Roadmap roadmap) {
+  return install(std::make_unique<RoadmapSnapshot>(std::move(roadmap)));
+}
+
+std::uint64_t SnapshotPool::publish(planner::Roadmap roadmap,
+                                    planner::KdTreeKnn index, bool rebuilt) {
+  return install(std::make_unique<RoadmapSnapshot>(
+      std::move(roadmap), std::move(index), rebuilt));
+}
+
+std::uint64_t SnapshotPool::install(std::unique_ptr<RoadmapSnapshot> owned) {
   std::lock_guard lock(publish_mutex_);
   const std::uint64_t epoch =
       next_epoch_.fetch_add(1, std::memory_order_relaxed);
-  auto* snap = new RoadmapSnapshot(std::move(roadmap), epoch);
+  owned->epoch = epoch;
+  RoadmapSnapshot* snap = owned.release();
 
   std::uint32_t ix = claim_empty_slot();
   while (ix == kNoSlot) {
@@ -161,32 +189,37 @@ std::uint64_t densify_and_publish(SnapshotPool& pool,
   planner::PlannerStats local;
   planner::PlannerStats& st = stats != nullptr ? *stats : local;
 
-  // Copy-on-rebuild: readers keep the old epoch; we densify a private copy.
+  // Copy-on-rebuild: readers keep the old epoch; we densify a private copy
+  // of its roadmap and extend a copy of its index, which shares the built
+  // tree and copies only the insertion buffer.
   planner::Roadmap next;
-  if (SnapshotRef cur = pool.acquire()) next = cur->roadmap;
+  planner::KdTreeKnn index(e.space());
+  bool rebuilt = true;
+  if (SnapshotRef cur = pool.acquire()) {
+    next = cur->roadmap;
+    index = cur->index(e.space());
+    rebuilt = false;
+  }
 
   Xoshiro256ss rng(seed);
   const auto samples = planner::sample_region(
       e, e.space().position_bounds(), attempts, rng, st, cancel);
   std::vector<graph::VertexId> fresh;
   fresh.reserve(samples.size());
-  for (const auto& c : samples) fresh.push_back(next.add_vertex({c, 0}));
+  for (const auto& c : samples) {
+    fresh.push_back(next.add_vertex({c, 0}));
+    index.insert(fresh.back(), c);
+  }
+  if (index.refresh()) rebuilt = true;
 
   if (!fresh.empty()) {
     // Connect each fresh vertex into the *whole* graph (old + new), unlike
     // connect_within which only searches inside one id set. k-NN runs as
     // one batch; edge validation goes through the cross-edge window so the
     // wide validity lanes stay full across short or early-rejecting edges.
-    auto finder = planner::make_neighbor_finder(e.space(), params.exact_knn);
-    for (graph::VertexId v = 0;
-         v < static_cast<graph::VertexId>(next.num_vertices()); ++v)
-      finder->insert(v, next.vertex(v).cfg);
-
-    std::vector<cspace::Config> qcfgs;
-    qcfgs.reserve(fresh.size());
-    for (graph::VertexId id : fresh) qcfgs.push_back(next.vertex(id).cfg);
     planner::KnnBatch batch;
-    finder->nearest_batch(qcfgs, params.k_neighbors + 1, batch, &st);
+    planner::KdTreeKnn::Scratch scratch;
+    index.nearest_batch(samples, params.k_neighbors + 1, batch, scratch, &st);
 
     cspace::EdgeBatchPlanner ebp(e.space(), e.validity(), params.resolution,
                                  params.edge_window);
@@ -217,7 +250,7 @@ std::uint64_t densify_and_publish(SnapshotPool& pool,
     while (ebp.pending()) commit_one();
   }
 
-  return pool.publish(std::move(next));
+  return pool.publish(std::move(next), std::move(index), rebuilt);
 }
 
 }  // namespace pmpl::service

@@ -24,13 +24,24 @@
 /// to kSlots - 1 old epochs can stay pinned by long-running readers while
 /// new epochs keep publishing; `publish` only waits when every slot is
 /// still pinned (pathological reader hoarding), never the other way round.
+///
+/// Each snapshot carries an immutable k-NN index over its own vertices
+/// (`RoadmapSnapshot::index`). Densify epochs only append vertices, so
+/// `densify_and_publish` extends the current epoch's index instead of
+/// building a new one: the built kd-tree is shared between consecutive
+/// epochs, each epoch adds its fresh vertices to an insertion buffer, and
+/// the tree is rebuilt only when KdTreeKnn's rebuild rule fires. A shared
+/// tree is freed with the last epoch that refers to it.
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
+#include "planner/knn.hpp"
 #include "planner/prm.hpp"
 #include "planner/roadmap.hpp"
 #include "runtime/cancel.hpp"
@@ -38,19 +49,38 @@
 
 namespace pmpl::service {
 
-/// One immutable published roadmap. Never mutated after publication; safe
-/// to read from any number of threads.
+/// One immutable published roadmap and its k-NN index. Never mutated after
+/// publication; safe to read from any number of threads.
 struct RoadmapSnapshot {
   planner::Roadmap roadmap;
   std::uint64_t epoch = 0;
+  /// The index was built from scratch for this epoch (a roadmap published
+  /// whole, or a densify epoch whose rebuild rule fired), not extended
+  /// from the previous epoch's tree.
+  bool index_rebuilt = true;
 
-  RoadmapSnapshot(planner::Roadmap g, std::uint64_t ep);
+  /// Index built from `g` on first use.
+  explicit RoadmapSnapshot(planner::Roadmap g);
+  /// `index` must hold exactly the vertices of `g`, under their ids.
+  RoadmapSnapshot(planner::Roadmap g, planner::KdTreeKnn index,
+                  bool rebuilt);
   ~RoadmapSnapshot();
   RoadmapSnapshot(const RoadmapSnapshot&) = delete;
   RoadmapSnapshot& operator=(const RoadmapSnapshot&) = delete;
 
+  /// k-NN index over this epoch's vertices (neighbor id = vertex id).
+  /// Query it through the const `nearest`/`nearest_batch` with caller-owned
+  /// scratch, from any number of threads. A snapshot published without an
+  /// index builds it here once, on first use, over `space` — the space the
+  /// roadmap was planned in, which every caller must pass.
+  const planner::KdTreeKnn& index(const cspace::CSpace& space) const;
+
   /// Snapshots currently alive in the process (reclamation tests).
   static std::uint64_t live_count() noexcept;
+
+ private:
+  mutable std::once_flag index_once_;
+  mutable std::optional<planner::KdTreeKnn> index_;
 };
 
 class SnapshotPool;
@@ -114,8 +144,14 @@ class SnapshotPool {
 
   /// Publish `roadmap` as the next epoch; returns that epoch (1-based).
   /// Readers pinned on older epochs are unaffected. Waits only when all
-  /// kSlots slots are pinned by readers.
+  /// kSlots slots are pinned by readers. The epoch's index is built from
+  /// scratch (on first use, see RoadmapSnapshot::index).
   std::uint64_t publish(planner::Roadmap roadmap);
+
+  /// Publish `roadmap` with a ready index over exactly its vertices;
+  /// `rebuilt` records whether that index's tree is new to this epoch.
+  std::uint64_t publish(planner::Roadmap roadmap, planner::KdTreeKnn index,
+                        bool rebuilt);
 
   /// Pin the current snapshot. Empty ref iff nothing has been published.
   /// Lock-free: retries only while racing a concurrent publish/reclaim.
@@ -157,6 +193,7 @@ class SnapshotPool {
     std::atomic<const RoadmapSnapshot*> snap{nullptr};
   };
 
+  std::uint64_t install(std::unique_ptr<RoadmapSnapshot> snap);
   void unpin(std::uint32_t slot) noexcept;
   void try_reclaim(std::uint32_t slot) noexcept;
   std::uint32_t claim_empty_slot() noexcept;  ///< kNoSlot when none free
@@ -176,8 +213,12 @@ class SnapshotPool {
 /// empty), add `attempts` worth of new PRM samples, connect them into the
 /// whole graph through batched k-NN + the cross-edge batching planner, and
 /// publish the result as the next epoch. Returns the published epoch.
-/// Deterministic given (current epoch contents, seed). A fired `cancel`
-/// publishes whatever was densified so far (bounded overrun: one window).
+/// The k-NN runs on the current epoch's index extended by the fresh
+/// vertices, and that extended index is published with the epoch; it is
+/// always a KdTreeKnn (`params.exact_knn` would pick a finder with the same
+/// answers). Deterministic given (current epoch contents, seed). A fired
+/// `cancel` publishes whatever was densified so far (bounded overrun: one
+/// window).
 std::uint64_t densify_and_publish(SnapshotPool& pool,
                                   const env::Environment& e,
                                   const planner::PrmParams& params,

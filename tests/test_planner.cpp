@@ -295,6 +295,60 @@ TEST(Knn, LazyRebuildWhenBufferDominates) {
   EXPECT_EQ(rebuilt_at, expected);
 }
 
+TEST(Knn, CopiedIndexSharesTreeAndExtendsIndependently) {
+  const CSpace space = CSpace::se3({{0, 0, 0}, {100, 100, 100}});
+  Xoshiro256ss rng(33);
+  std::vector<Config> points;
+  for (int i = 0; i < 300; ++i) points.push_back(space.sample(rng));
+
+  KdTreeKnn base(space);
+  for (graph::VertexId i = 0; i < 200; ++i) base.insert(i, points[i]);
+  EXPECT_TRUE(base.refresh());
+  EXPECT_FALSE(base.refresh());
+  // 40 buffered points are under a quarter of 200: no rebuild.
+  for (graph::VertexId i = 200; i < 240; ++i) base.insert(i, points[i]);
+  EXPECT_FALSE(base.refresh());
+  EXPECT_EQ(base.indexed_size(), 200u);
+  EXPECT_EQ(base.size(), 240u);
+
+  // A copy shares the built tree and copies the buffer; growing it past
+  // the rule rebuilds the copy's tree and leaves the original's intact.
+  KdTreeKnn grown = base;
+  const auto base_tree = base.tree_handle();
+  EXPECT_FALSE(base_tree.owner_before(grown.tree_handle()) ||
+               grown.tree_handle().owner_before(base_tree));
+  for (graph::VertexId i = 240; i < 300; ++i) grown.insert(i, points[i]);
+  EXPECT_TRUE(grown.refresh());
+  EXPECT_EQ(grown.indexed_size(), 300u);
+  EXPECT_TRUE(base_tree.owner_before(grown.tree_handle()) ||
+              grown.tree_handle().owner_before(base_tree));
+  EXPECT_FALSE(base_tree.expired());
+  EXPECT_EQ(base.indexed_size(), 200u);
+  EXPECT_EQ(base.size(), 240u);
+
+  BruteForceKnn brute_base(space), brute_grown(space);
+  for (graph::VertexId i = 0; i < 300; ++i) {
+    if (i < 240) brute_base.insert(i, points[i]);
+    brute_grown.insert(i, points[i]);
+  }
+  KdTreeKnn::Scratch scratch;
+  for (int q = 0; q < 60; ++q) {
+    const Config c = q % 3 == 0 ? points[static_cast<std::size_t>(q * 5)]
+                                : space.sample(rng);
+    for (const auto& [index, brute] :
+         {std::pair<const KdTreeKnn*, BruteForceKnn*>{&base, &brute_base},
+          {&grown, &brute_grown}}) {
+      const auto got = index->nearest(c, 9, scratch);
+      const auto want = brute->nearest(c, 9);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].id, want[i].id) << "query " << q;
+        EXPECT_EQ(got[i].distance, want[i].distance) << "query " << q;
+      }
+    }
+  }
+}
+
 // --- PRM free functions ----------------------------------------------------
 
 TEST(PrmPhases, SampleRegionKeepsValidOnly) {

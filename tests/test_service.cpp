@@ -4,6 +4,10 @@
 //    exactly when their last reader drops (verified through an
 //    allocation-counting harness plus RoadmapSnapshot::live_count), and the
 //    acquire/publish race is safe under real thread churn;
+//  - each epoch's k-NN index, extended from the previous epoch's, answers
+//    bit-identically to fresh finders over its roadmap, also while pinned
+//    behind newer epochs and while other threads query it; a tree shared
+//    by several epochs is freed with the last of them;
 //  - the QueryEngine is deterministic: the same snapshot + request sequence
 //    produce bit-identical paths for any worker count, and engine answers
 //    are bit-identical to the sequential query_roadmap baseline;
@@ -16,11 +20,14 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "env/builders.hpp"
+#include "planner/knn.hpp"
 #include "planner/prm.hpp"
 #include "planner/query.hpp"
 #include "service/query_engine.hpp"
@@ -279,6 +286,23 @@ TEST(SnapshotPool, DensifyAndPublishIsDeterministic) {
 
 // --- query engine ----------------------------------------------------------
 
+std::vector<service::QueryRequest> valid_requests(const env::Environment& e,
+                                                  std::size_t n,
+                                                  std::uint64_t seed,
+                                                  std::size_t k) {
+  Xoshiro256ss rng(seed);
+  std::vector<service::QueryRequest> reqs;
+  while (reqs.size() < n) {
+    service::QueryRequest q;
+    q.start = e.space().sample(rng);
+    q.goal = e.space().sample(rng);
+    if (!e.validity().valid(q.start) || !e.validity().valid(q.goal)) continue;
+    q.k = k;
+    reqs.push_back(std::move(q));
+  }
+  return reqs;
+}
+
 struct ServiceFixture : ::testing::Test {
   void SetUp() override {
     e = env::maze_2d();
@@ -292,18 +316,7 @@ struct ServiceFixture : ::testing::Test {
 
   std::vector<service::QueryRequest> make_requests(std::size_t n,
                                                    std::uint64_t seed) const {
-    Xoshiro256ss rng(seed);
-    std::vector<service::QueryRequest> reqs;
-    while (reqs.size() < n) {
-      service::QueryRequest q;
-      q.start = e->space().sample(rng);
-      q.goal = e->space().sample(rng);
-      if (!e->validity().valid(q.start) || !e->validity().valid(q.goal))
-        continue;
-      q.k = params.k_neighbors;
-      reqs.push_back(std::move(q));
-    }
-    return reqs;
+    return valid_requests(*e, n, seed, params.k_neighbors);
   }
 
   std::unique_ptr<env::Environment> e;
@@ -503,8 +516,13 @@ TEST_F(ServiceFixture, EngineServesConsistentlyAcrossEpochSwap) {
       EXPECT_EQ(after[i].status, service::QueryStatus::kSolved) << i;
     }
   }
-  // The finder cache was rebuilt exactly once per epoch observed.
-  EXPECT_EQ(metrics.counter("service/finder_rebuilds").value(), 2u);
+  // Epoch 1 was published whole, so its index was built from scratch;
+  // epoch 2 added fewer than a quarter of the indexed vertices, so its
+  // index extends epoch 1's tree and the counter does not move.
+  auto cur = pool.acquire();
+  ASSERT_TRUE(cur);
+  EXPECT_FALSE(cur->index_rebuilt);
+  EXPECT_EQ(metrics.counter("service/finder_rebuilds").value(), 1u);
 }
 
 TEST_F(ServiceFixture, MetricsPublishUnderDeterministicKeys) {
@@ -586,6 +604,268 @@ TEST_F(ServiceFixture, ConcurrentBatchesAgainstChurningPoolStayValid) {
   stop.store(true, std::memory_order_release);
   publisher.join();
   EXPECT_GT(solved, 0u);
+}
+
+// --- per-epoch k-NN index --------------------------------------------------
+
+bool same_neighbors(std::span<const planner::Neighbor> a,
+                    std::span<const planner::Neighbor> b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (a[i].id != b[i].id || a[i].distance != b[i].distance) return false;
+  return true;
+}
+
+bool same_tree(const std::weak_ptr<const void>& a,
+               const std::weak_ptr<const void>& b) {
+  return !a.owner_before(b) && !b.owner_before(a);
+}
+
+/// `snap`'s own index against a fresh kd-tree and a brute-force scan over
+/// its roadmap: every query at every k must agree bit for bit.
+::testing::AssertionResult index_matches_fresh_finders(
+    const service::RoadmapSnapshot& snap, const cspace::CSpace& space,
+    const std::vector<cspace::Config>& queries) {
+  const planner::KdTreeKnn& index = snap.index(space);
+  if (index.size() != snap.roadmap.num_vertices())
+    return ::testing::AssertionFailure()
+           << "epoch " << snap.epoch << " indexes " << index.size() << " of "
+           << snap.roadmap.num_vertices() << " vertices";
+  planner::KdTreeKnn fresh(space);
+  planner::BruteForceKnn brute(space);
+  const auto n = static_cast<graph::VertexId>(snap.roadmap.num_vertices());
+  for (graph::VertexId v = 0; v < n; ++v) {
+    fresh.insert(v, snap.roadmap.vertex(v).cfg);
+    brute.insert(v, snap.roadmap.vertex(v).cfg);
+  }
+  planner::KdTreeKnn::Scratch scratch;
+  for (const std::size_t k : {std::size_t{1}, std::size_t{8}, std::size_t{25}})
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const auto got = index.nearest(queries[i], k, scratch);
+      if (!same_neighbors(got, fresh.nearest(queries[i], k)) ||
+          !same_neighbors(got, brute.nearest(queries[i], k)))
+        return ::testing::AssertionFailure()
+               << "epoch " << snap.epoch << ", k " << k << ", query " << i;
+    }
+  return ::testing::AssertionSuccess();
+}
+
+/// Random configurations plus some roadmap vertices (exact hits).
+std::vector<cspace::Config> knn_probe_queries(const env::Environment& e,
+                                              const planner::Roadmap& g,
+                                              std::uint64_t seed) {
+  Xoshiro256ss rng(seed);
+  std::vector<cspace::Config> qs;
+  for (int i = 0; i < 24; ++i) qs.push_back(e.space().sample(rng));
+  for (std::size_t v = 0; v < g.num_vertices(); v += 37)
+    qs.push_back(g.vertex(static_cast<graph::VertexId>(v)).cfg);
+  return qs;
+}
+
+TEST(SnapshotIndex, ExtendedIndexesStayExactAcrossFortyEpochs) {
+  const auto e = env::maze_2d();
+  planner::PrmParams params;
+  params.k_neighbors = 6;
+  params.resolution = 0.5;
+  service::SnapshotPool pool;
+  pool.publish(small_maze_roadmap(300, 7));
+
+  service::QueryEngineConfig cfg;
+  cfg.workers = 2;
+  cfg.resolution = params.resolution;
+  runtime::MetricsRegistry metrics;
+  cfg.metrics = &metrics;
+  service::QueryEngine engine(*e, pool, cfg);
+  const auto reqs = valid_requests(*e, 3, 77, params.k_neighbors);
+
+  std::weak_ptr<const void> prev_tree;
+  std::size_t prev_indexed = 0;
+  {
+    auto first = pool.acquire();
+    ASSERT_TRUE(first);
+    ASSERT_TRUE(first->index_rebuilt);
+    prev_tree = first->index(e->space()).tree_handle();
+    prev_indexed = first->index(e->space()).indexed_size();
+    ASSERT_GT(prev_indexed, 0u);
+  }
+
+  constexpr std::uint64_t kEpochs = 45;
+  std::size_t rebuilds = 0;
+  std::size_t solved = 0;
+  std::vector<service::SnapshotRef> pinned;
+  std::vector<cspace::Config> queries;
+  for (std::uint64_t i = 0; i < kEpochs; ++i) {
+    const std::uint64_t epoch =
+        service::densify_and_publish(pool, *e, params, 40, 900 + i);
+    auto cur = pool.acquire();
+    ASSERT_TRUE(cur);
+    ASSERT_EQ(cur->epoch, epoch);
+    const planner::KdTreeKnn& index = cur->index(e->space());
+
+    // A rebuild folds every vertex into a new tree; an extension keeps the
+    // previous epoch's tree and only buffers this epoch's vertices.
+    if (cur->index_rebuilt) {
+      ++rebuilds;
+      EXPECT_GT(index.indexed_size(), prev_indexed) << "epoch " << epoch;
+      EXPECT_EQ(index.indexed_size(), cur->roadmap.num_vertices());
+      EXPECT_FALSE(same_tree(index.tree_handle(), prev_tree));
+    } else {
+      EXPECT_EQ(index.indexed_size(), prev_indexed) << "epoch " << epoch;
+      EXPECT_TRUE(same_tree(index.tree_handle(), prev_tree));
+    }
+    prev_indexed = index.indexed_size();
+    prev_tree = index.tree_handle();
+
+    queries = knn_probe_queries(*e, cur->roadmap, 404 + i);
+    EXPECT_TRUE(index_matches_fresh_finders(*cur, e->space(), queries));
+
+    const auto results = engine.run_batch(reqs);
+    for (std::size_t j = 0; j < reqs.size(); ++j) {
+      const auto baseline =
+          planner::query_roadmap(*e, cur->roadmap, reqs[j].start,
+                                 reqs[j].goal, reqs[j].k, params.resolution);
+      if (results[j].status == service::QueryStatus::kSolved) {
+        ++solved;
+        EXPECT_EQ(results[j].epoch, epoch);
+        ASSERT_TRUE(baseline.has_value()) << "epoch " << epoch << " q " << j;
+        EXPECT_TRUE(same_path(results[j].path, *baseline))
+            << "epoch " << epoch << " q " << j;
+      } else {
+        EXPECT_EQ(results[j].status, service::QueryStatus::kUnreachable);
+        EXPECT_FALSE(baseline.has_value()) << "epoch " << epoch << " q " << j;
+      }
+    }
+    if (i % 10 == 3) pinned.push_back(std::move(cur));
+  }
+  EXPECT_GE(rebuilds, 2u);
+  EXPECT_LE(rebuilds, kEpochs / 2);
+  EXPECT_GT(solved, 0u);
+  // The engine served epochs 2 onward and counted only the ones whose
+  // index was built from scratch.
+  EXPECT_EQ(metrics.counter("service/finder_rebuilds").value(), rebuilds);
+
+  // Old epochs stay exact after every newer publish, and a tree lives
+  // exactly as long as some epoch still refers to it.
+  ASSERT_EQ(pinned.size(), 5u);
+  std::vector<std::weak_ptr<const void>> trees;
+  for (const auto& p : pinned) {
+    EXPECT_TRUE(index_matches_fresh_finders(*p, e->space(), queries));
+    trees.push_back(p->index(e->space()).tree_handle());
+  }
+  const auto current_tree = pool.acquire()->index(e->space()).tree_handle();
+  pinned.clear();
+  for (const auto& t : trees)
+    EXPECT_EQ(t.expired(), !same_tree(t, current_tree));
+}
+
+TEST(SnapshotIndex, SharedTreeIsFreedWithTheLastEpochReferringToIt) {
+  const auto e = env::maze_2d();
+  planner::PrmParams params;
+  params.k_neighbors = 6;
+  params.resolution = 0.5;
+  service::SnapshotPool pool;
+  pool.publish(small_maze_roadmap());
+
+  // Epoch 1 builds its index on first use; the insertion buffer moves into
+  // the tree, so what that use leaves allocated is exactly the tree.
+  auto first = pool.acquire();
+  ASSERT_TRUE(first);
+  std::int64_t mark = outstanding_allocations();
+  const planner::KdTreeKnn& index = first->index(e->space());
+  const std::int64_t tree_allocs = outstanding_allocations() - mark;
+  ASSERT_GT(index.indexed_size(), 0u);
+  ASSERT_EQ(index.size(), index.indexed_size());
+  ASSERT_GT(tree_allocs, 0);
+
+  // Zero attempts: epoch 2 holds a copy of epoch 1's roadmap and an index
+  // sharing epoch 1's tree with an empty buffer, so the two epochs own the
+  // same allocations apart from the tree.
+  EXPECT_EQ(service::densify_and_publish(pool, *e, params, 0, 1), 2u);
+  auto second = pool.acquire();
+  ASSERT_TRUE(second);
+  EXPECT_FALSE(second->index_rebuilt);
+  EXPECT_EQ(second->roadmap.num_vertices(), first->roadmap.num_vertices());
+  EXPECT_EQ(second->roadmap.num_edges(), first->roadmap.num_edges());
+  EXPECT_TRUE(same_tree(second->index(e->space()).tree_handle(),
+                        first->index(e->space()).tree_handle()));
+  pool.publish(planner::Roadmap());  // retires epoch 2
+
+  // Reclaiming epoch 1 frees its roadmap and snapshot but not the tree
+  // epoch 2 still refers to; reclaiming epoch 2 frees the tree as well.
+  mark = outstanding_allocations();
+  first.release();
+  const std::int64_t freed_first = mark - outstanding_allocations();
+  mark = outstanding_allocations();
+  second.release();
+  const std::int64_t freed_second = mark - outstanding_allocations();
+  EXPECT_EQ(pool.reclaimed_total(), 2u);
+  EXPECT_GT(freed_first, 0);
+  EXPECT_EQ(freed_second - freed_first, tree_allocs);
+}
+
+TEST(SnapshotIndex, ReadersQueryAPinnedIndexWhileThePublisherExtendsIt) {
+  // The TSan target for the shared index: readers run the const traversal
+  // on one pinned epoch's index, each with its own scratch, while the
+  // publisher copies that index, extends the copy and rebuilds its tree.
+  const auto e = env::maze_2d();
+  planner::PrmParams params;
+  params.k_neighbors = 6;
+  params.resolution = 0.5;
+  service::SnapshotPool pool;
+  pool.publish(small_maze_roadmap(300, 7));
+  service::densify_and_publish(pool, *e, params, 40, 31);
+  auto pinned = pool.acquire();
+  ASSERT_TRUE(pinned);
+  const planner::KdTreeKnn& index = pinned->index(e->space());
+  ASSERT_GT(index.indexed_size(), 0u);
+  ASSERT_GT(index.size(), index.indexed_size());  // tree plus buffer
+
+  constexpr std::size_t kK = 8;
+  const auto queries = knn_probe_queries(*e, pinned->roadmap, 5);
+  std::vector<std::vector<planner::Neighbor>> expected;
+  {
+    planner::BruteForceKnn brute(e->space());
+    const auto n = static_cast<graph::VertexId>(pinned->roadmap.num_vertices());
+    for (graph::VertexId v = 0; v < n; ++v)
+      brute.insert(v, pinned->roadmap.vertex(v).cfg);
+    for (const auto& q : queries) {
+      const auto r = brute.nearest(q, kK);
+      expected.emplace_back(r.begin(), r.end());
+    }
+  }
+
+  constexpr int kReaders = 3;
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> rounds{0};
+  std::atomic<bool> mismatch{false};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      planner::KdTreeKnn::Scratch scratch;
+      while (!stop.load(std::memory_order_acquire)) {
+        for (std::size_t i = 0; i < queries.size(); ++i)
+          if (!same_neighbors(index.nearest(queries[i], kK, scratch),
+                              expected[i]))
+            mismatch.store(true);
+        rounds.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  bool rebuilt = false;
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    service::densify_and_publish(pool, *e, params, 40, 600 + i);
+    rebuilt = rebuilt || pool.acquire()->index_rebuilt;
+  }
+  while (rounds.load(std::memory_order_relaxed) < 2 * kReaders)
+    std::this_thread::yield();
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  EXPECT_FALSE(mismatch.load());
+  EXPECT_TRUE(rebuilt);
+  EXPECT_TRUE(index_matches_fresh_finders(*pinned, e->space(), queries));
 }
 
 }  // namespace
