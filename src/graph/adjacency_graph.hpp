@@ -86,6 +86,33 @@ class AdjacencyGraph {
     adjacency_.reserve(n);
   }
 
+  /// Make this graph equal to `newer`, of which it must be an older state
+  /// reached by appends only: no more vertices than `newer`, each vertex's
+  /// payload equal, and each adjacency list a prefix of `newer`'s list for
+  /// that vertex (no `remove_edge` in between). Appends the missing
+  /// vertices and adjacency-list tails, keeping the storage this graph
+  /// already has; on an empty graph it is a copy of `newer`. Cost: the
+  /// appended entries plus one size comparison per vertex.
+  void extend_to(const AdjacencyGraph& newer) {
+    const std::size_t n = newer.vertices_.size();
+    assert(vertices_.size() <= n);
+    vertices_.insert(vertices_.end(),
+                     newer.vertices_.begin() +
+                         static_cast<std::ptrdiff_t>(vertices_.size()),
+                     newer.vertices_.end());
+    adjacency_.resize(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      auto& mine = adjacency_[v];
+      const auto& theirs = newer.adjacency_[v];
+      assert(mine.size() <= theirs.size());
+      if (mine.size() != theirs.size())
+        mine.insert(mine.end(),
+                    theirs.begin() + static_cast<std::ptrdiff_t>(mine.size()),
+                    theirs.end());
+    }
+    edge_count_ = newer.edge_count_;
+  }
+
  private:
   bool remove_half(VertexId from, VertexId to) {
     auto& adj = adjacency_[from];

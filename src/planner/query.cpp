@@ -1,12 +1,43 @@
 #include "planner/query.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 
 #include "cspace/local_planner.hpp"
 #include "planner/knn.hpp"
 
 namespace pmpl::planner {
+
+namespace {
+
+/// A* state of one vertex. Valid only while `stamp` equals the current
+/// query's; otherwise the vertex is untouched (dist infinite, no prev).
+struct AstarNode {
+  double dist;
+  double h;  ///< heuristic, computed once when the vertex is first touched
+  graph::VertexId prev;
+  std::uint32_t stamp;
+};
+
+/// Per-thread A* storage reused across queries: a query stamps the nodes
+/// it touches instead of filling n + 2 entries, and the heap keeps its
+/// capacity.
+struct AstarScratch {
+  std::vector<AstarNode> nodes;
+  std::vector<std::pair<double, graph::VertexId>> heap;
+  std::uint32_t stamp = 0;
+
+  void begin(std::size_t size) {
+    if (nodes.size() < size) nodes.resize(size, AstarNode{0.0, 0.0, 0, 0});
+    if (++stamp == 0) {  // wrapped: every node is stale again
+      for (AstarNode& x : nodes) x.stamp = 0;
+      stamp = 1;
+    }
+    heap.clear();
+  }
+};
+
+}  // namespace
 
 std::optional<std::vector<cspace::Config>> find_path_with_attachments(
     const env::Environment& e, const Roadmap& g, const cspace::Config& start,
@@ -14,8 +45,8 @@ std::optional<std::vector<cspace::Config>> find_path_with_attachments(
     std::span<const AttachEdge> goal_edges) {
   if (start_edges.empty() || goal_edges.empty()) return std::nullopt;
 
-  // Virtual ids: n = start, n + 1 = goal. The overlay is two extra rows of
-  // the dist/prev arrays; the roadmap is only ever read.
+  // Virtual ids: n = start, n + 1 = goal. The overlay is two extra A*
+  // nodes; the roadmap is only ever read.
   const auto n = static_cast<graph::VertexId>(g.num_vertices());
   const graph::VertexId s = n;
   const graph::VertexId t = n + 1;
@@ -31,29 +62,43 @@ std::optional<std::vector<cspace::Config>> find_path_with_attachments(
     return v == t ? 0.0 : space.distance(cfg_of(v), goal);
   };
 
-  std::vector<double> dist(n + 2, kInf);
-  std::vector<graph::VertexId> prev(n + 2, graph::kInvalidVertex);
-  // (f = g + h, vertex): pair comparison breaks f ties by ascending vertex
-  // id, same as graph::astar — expansion order is deterministic.
-  using Entry = std::pair<double, graph::VertexId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> open;
+  thread_local AstarScratch scratch;
+  scratch.begin(n + 2);
+  const auto node = [&](graph::VertexId v) -> AstarNode& {
+    AstarNode& x = scratch.nodes[v];
+    if (x.stamp != scratch.stamp)
+      x = {kInf, heuristic(v), graph::kInvalidVertex, scratch.stamp};
+    return x;
+  };
+  // Min-heap on (f = g + h, vertex), driven exactly like a
+  // std::priority_queue with std::greater: pair comparison breaks f ties
+  // by ascending vertex id, same as graph::astar — expansion order is
+  // deterministic.
+  auto& open = scratch.heap;
+  const auto push = [&](double f, graph::VertexId v) {
+    open.emplace_back(f, v);
+    std::push_heap(open.begin(), open.end(), std::greater<>{});
+  };
 
   const auto relax = [&](graph::VertexId from, graph::VertexId to, double w) {
-    const double nd = dist[from] + w;
-    if (nd < dist[to]) {
-      dist[to] = nd;
-      prev[to] = from;
-      open.emplace(nd + heuristic(to), to);
+    const double nd = node(from).dist + w;
+    AstarNode& x = node(to);
+    if (nd < x.dist) {
+      x.dist = nd;
+      x.prev = from;
+      push(nd + x.h, to);
     }
   };
 
-  dist[s] = 0.0;
-  open.emplace(heuristic(s), s);
+  node(s).dist = 0.0;
+  push(node(s).h, s);
   while (!open.empty()) {
-    const auto [f, u] = open.top();
-    open.pop();
+    const auto [f, u] = open.front();
+    std::pop_heap(open.begin(), open.end(), std::greater<>{});
+    open.pop_back();
     if (u == t) break;
-    if (f - heuristic(u) > dist[u] + 1e-12) continue;  // stale entry
+    const AstarNode& nu = node(u);
+    if (f - nu.h > nu.dist + 1e-12) continue;  // stale entry
     if (u == s) {
       for (const AttachEdge& a : start_edges) relax(s, a.to, a.length);
       continue;
@@ -65,9 +110,9 @@ std::optional<std::vector<cspace::Config>> find_path_with_attachments(
       if (a.to == u) relax(u, t, a.length);
   }
 
-  if (dist[t] >= kInf) return std::nullopt;
+  if (node(t).dist >= kInf) return std::nullopt;
   std::vector<graph::VertexId> vertices;
-  for (graph::VertexId v = t; v != graph::kInvalidVertex; v = prev[v])
+  for (graph::VertexId v = t; v != graph::kInvalidVertex; v = node(v).prev)
     vertices.push_back(v);
   std::reverse(vertices.begin(), vertices.end());
 

@@ -1,6 +1,7 @@
 #include "service/snapshot.hpp"
 
 #include <thread>
+#include <utility>
 
 #include "cspace/local_planner.hpp"
 
@@ -94,7 +95,9 @@ void SnapshotPool::try_reclaim(std::uint32_t slot) noexcept {
   // transient pins (bounded: no reader holds a pin on a non-live slot).
   while (s.pins.load(std::memory_order_seq_cst) != 0)
     std::this_thread::yield();
-  delete s.snap.exchange(nullptr, std::memory_order_acq_rel);
+  RoadmapSnapshot* snap = s.snap.exchange(nullptr, std::memory_order_acq_rel);
+  recycle(*snap);
+  delete snap;
   reclaimed_.fetch_add(1, std::memory_order_relaxed);
   s.state.store(kEmpty, std::memory_order_seq_cst);
 }
@@ -109,21 +112,47 @@ std::uint32_t SnapshotPool::claim_empty_slot() noexcept {
   return kNoSlot;
 }
 
+void SnapshotPool::recycle(RoadmapSnapshot& snap) noexcept {
+  planner::Roadmap older;  // a spare this one replaces; freed after unlock
+  std::lock_guard lock(spare_mutex_);
+  if (snap.lineage != lineage_ || snap.epoch < spare_epoch_) return;
+  older = std::exchange(spare_, std::move(snap.roadmap));
+  spare_epoch_ = snap.epoch;
+}
+
+planner::Roadmap SnapshotPool::take_spare(const RoadmapSnapshot& base) {
+  std::lock_guard lock(spare_mutex_);
+  // A spare of base's lineage is an older state of base's roadmap unless it
+  // is newer than base (another publisher got ahead of this one).
+  if (spare_epoch_ == 0 || base.lineage != lineage_ ||
+      spare_epoch_ > base.epoch)
+    return {};
+  spare_epoch_ = 0;
+  recycled_.fetch_add(1, std::memory_order_relaxed);
+  return std::exchange(spare_, {});
+}
+
 std::uint64_t SnapshotPool::publish(planner::Roadmap roadmap) {
-  return install(std::make_unique<RoadmapSnapshot>(std::move(roadmap)));
+  return install(std::make_unique<RoadmapSnapshot>(std::move(roadmap)),
+                 kNewLineage);
 }
 
-std::uint64_t SnapshotPool::publish(planner::Roadmap roadmap,
-                                    planner::KdTreeKnn index, bool rebuilt) {
-  return install(std::make_unique<RoadmapSnapshot>(
-      std::move(roadmap), std::move(index), rebuilt));
-}
-
-std::uint64_t SnapshotPool::install(std::unique_ptr<RoadmapSnapshot> owned) {
+std::uint64_t SnapshotPool::install(std::unique_ptr<RoadmapSnapshot> owned,
+                                    std::uint64_t parent) {
+  planner::Roadmap dropped;  // an ended lineage's spare; freed after unlock
   std::lock_guard lock(publish_mutex_);
   const std::uint64_t epoch =
       next_epoch_.fetch_add(1, std::memory_order_relaxed);
   owned->epoch = epoch;
+  {
+    std::lock_guard spare_lock(spare_mutex_);
+    if (parent != current_epoch_.load(std::memory_order_relaxed)) {
+      ++lineage_;
+      dropped = std::exchange(spare_, {});
+      spare_epoch_ = 0;
+    }
+    owned->lineage = lineage_;
+  }
   RoadmapSnapshot* snap = owned.release();
 
   std::uint32_t ix = claim_empty_slot();
@@ -174,10 +203,13 @@ void SnapshotPool::publish_metrics(runtime::MetricsRegistry& reg,
           static_cast<double>(current_readers()));
   const std::uint64_t pub = published_total();
   const std::uint64_t rec = reclaimed_total();
+  const std::uint64_t rcy = recycled_total();
   reg.add(prefix + "snapshots_published", pub - metrics_published_base_);
   reg.add(prefix + "snapshots_reclaimed", rec - metrics_reclaimed_base_);
+  reg.add(prefix + "snapshots_recycled", rcy - metrics_recycled_base_);
   metrics_published_base_ = pub;
   metrics_reclaimed_base_ = rec;
+  metrics_recycled_base_ = rcy;
 }
 
 std::uint64_t densify_and_publish(SnapshotPool& pool,
@@ -189,16 +221,20 @@ std::uint64_t densify_and_publish(SnapshotPool& pool,
   planner::PlannerStats local;
   planner::PlannerStats& st = stats != nullptr ? *stats : local;
 
-  // Copy-on-rebuild: readers keep the old epoch; we densify a private copy
-  // of its roadmap and extend a copy of its index, which shares the built
-  // tree and copies only the insertion buffer.
+  // Readers keep the current epoch; we densify a private roadmap brought
+  // up to it (the recycled spare, or an empty roadmap, which makes this a
+  // copy) and extend a copy of its index, which shares the built tree and
+  // copies only the insertion buffer.
   planner::Roadmap next;
   planner::KdTreeKnn index(e.space());
   bool rebuilt = true;
+  std::uint64_t parent = 0;
   if (SnapshotRef cur = pool.acquire()) {
-    next = cur->roadmap;
+    next = pool.take_spare(*cur);
+    next.extend_to(cur->roadmap);
     index = cur->index(e.space());
     rebuilt = false;
+    parent = cur->epoch;
   }
 
   Xoshiro256ss rng(seed);
@@ -250,7 +286,9 @@ std::uint64_t densify_and_publish(SnapshotPool& pool,
     while (ebp.pending()) commit_one();
   }
 
-  return pool.publish(std::move(next), std::move(index), rebuilt);
+  return pool.install(std::make_unique<RoadmapSnapshot>(
+                          std::move(next), std::move(index), rebuilt),
+                      parent);
 }
 
 }  // namespace pmpl::service

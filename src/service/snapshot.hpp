@@ -4,9 +4,9 @@
 ///
 /// The service layer decouples *query* traffic from *construction*: queries
 /// run against a pinned, immutable snapshot of the roadmap while a
-/// background rebuild densifies a copy and publishes the result as the next
-/// epoch with a single atomic index swap. Readers never block on
-/// construction, construction never blocks on readers, and a retired
+/// background rebuild densifies a private roadmap and publishes the result
+/// as the next epoch with a single atomic index swap. Readers never block
+/// on construction, construction never blocks on readers, and a retired
 /// snapshot is reclaimed exactly when its last reader drops.
 ///
 /// Reader protocol (lock-free; two atomic ops to pin):
@@ -24,6 +24,20 @@
 /// to kSlots - 1 old epochs can stay pinned by long-running readers while
 /// new epochs keep publishing; `publish` only waits when every slot is
 /// still pinned (pathological reader hoarding), never the other way round.
+///
+/// Recycled storage. Epochs form *lineages*: a roadmap handed to
+/// `publish` starts one, and each `densify_and_publish` epoch built on the
+/// then-current epoch continues it by appending vertices and edges only.
+/// So any epoch of the current lineage is an older state of every later
+/// one. When the last pin on a retired epoch of the current lineage drops,
+/// the pool keeps that epoch's roadmap as its single *spare* (an O(1) move
+/// under a short mutex, on whichever thread unpinned) instead of freeing
+/// it. `densify_and_publish` takes the spare and brings it up to the
+/// current epoch with `AdjacencyGraph::extend_to`, which appends only what
+/// the spare lacks; without a spare (readers still pin every older epoch)
+/// it extends an empty roadmap, which is a full copy. A new lineage drops
+/// the spare. Only the roadmap is recycled; the snapshot and its index are
+/// freed as before.
 ///
 /// Each snapshot carries an immutable k-NN index over its own vertices
 /// (`RoadmapSnapshot::index`). Densify epochs only append vertices, so
@@ -54,6 +68,9 @@ namespace pmpl::service {
 struct RoadmapSnapshot {
   planner::Roadmap roadmap;
   std::uint64_t epoch = 0;
+  /// Lineage of this epoch (see the file comment): the roadmap extends
+  /// every earlier epoch of the same lineage.
+  std::uint64_t lineage = 0;
   /// The index was built from scratch for this epoch (a roadmap published
   /// whole, or a densify epoch whose rebuild rule fired), not extended
   /// from the previous epoch's tree.
@@ -145,13 +162,9 @@ class SnapshotPool {
   /// Publish `roadmap` as the next epoch; returns that epoch (1-based).
   /// Readers pinned on older epochs are unaffected. Waits only when all
   /// kSlots slots are pinned by readers. The epoch's index is built from
-  /// scratch (on first use, see RoadmapSnapshot::index).
+  /// scratch (on first use, see RoadmapSnapshot::index). Starts a new
+  /// lineage.
   std::uint64_t publish(planner::Roadmap roadmap);
-
-  /// Publish `roadmap` with a ready index over exactly its vertices;
-  /// `rebuilt` records whether that index's tree is new to this epoch.
-  std::uint64_t publish(planner::Roadmap roadmap, planner::KdTreeKnn index,
-                        bool rebuilt);
 
   /// Pin the current snapshot. Empty ref iff nothing has been published.
   /// Lock-free: retries only while racing a concurrent publish/reclaim.
@@ -168,6 +181,10 @@ class SnapshotPool {
   std::uint64_t reclaimed_total() const noexcept {
     return reclaimed_.load(std::memory_order_relaxed);
   }
+  /// Densify epochs built on a recycled roadmap rather than a full copy.
+  std::uint64_t recycled_total() const noexcept {
+    return recycled_.load(std::memory_order_relaxed);
+  }
   /// Slots holding a snapshot (live + retired-but-pinned).
   std::uint64_t live_slots() const noexcept;
   /// Readers currently pinning the current slot.
@@ -175,25 +192,44 @@ class SnapshotPool {
 
   /// Gauges `<prefix>epoch`, `<prefix>snapshots_live`,
   /// `<prefix>snapshot_readers` and counters `<prefix>snapshots_published`,
-  /// `<prefix>snapshots_reclaimed` (counters are set as deltas since the
-  /// last call on this pool — call from one collection thread).
+  /// `<prefix>snapshots_reclaimed`, `<prefix>snapshots_recycled` (counters
+  /// are set as deltas since the last call on this pool — call from one
+  /// collection thread).
   void publish_metrics(runtime::MetricsRegistry& reg,
                        const std::string& prefix = "service/");
 
  private:
   friend class SnapshotRef;
+  friend std::uint64_t densify_and_publish(SnapshotPool&,
+                                           const env::Environment&,
+                                           const planner::PrmParams&,
+                                           std::size_t, std::uint64_t,
+                                           planner::PlannerStats*,
+                                           const runtime::CancelToken*);
 
   enum : std::uint32_t { kEmpty = 0, kFilling = 1, kLive = 2, kRetired = 3,
                          kReclaiming = 4 };
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
+  /// `install`'s parent for a roadmap that starts a new lineage.
+  static constexpr std::uint64_t kNewLineage = ~std::uint64_t{0};
+
   struct Slot {
     std::atomic<std::uint32_t> state{kEmpty};
     std::atomic<std::uint64_t> pins{0};
-    std::atomic<const RoadmapSnapshot*> snap{nullptr};
+    std::atomic<RoadmapSnapshot*> snap{nullptr};
   };
 
-  std::uint64_t install(std::unique_ptr<RoadmapSnapshot> snap);
+  /// Publish `snap`. It continues the current lineage iff `parent` (the
+  /// epoch its roadmap extends, 0 for none) is still the current epoch.
+  std::uint64_t install(std::unique_ptr<RoadmapSnapshot> snap,
+                        std::uint64_t parent);
+  /// The spare roadmap if it is an older state of `base`'s roadmap, else
+  /// an empty one.
+  planner::Roadmap take_spare(const RoadmapSnapshot& base);
+  /// Keep a reclaimed snapshot's roadmap as the spare when it belongs to
+  /// the current lineage and is newer than the spare held.
+  void recycle(RoadmapSnapshot& snap) noexcept;
   void unpin(std::uint32_t slot) noexcept;
   void try_reclaim(std::uint32_t slot) noexcept;
   std::uint32_t claim_empty_slot() noexcept;  ///< kNoSlot when none free
@@ -204,15 +240,22 @@ class SnapshotPool {
   std::atomic<std::uint64_t> next_epoch_{1};
   std::atomic<std::uint64_t> published_{0};
   std::atomic<std::uint64_t> reclaimed_{0};
+  std::atomic<std::uint64_t> recycled_{0};
   std::mutex publish_mutex_;  ///< serializes publishers, never readers
+  std::mutex spare_mutex_;    ///< guards the three fields below; O(1) holds
+  std::uint64_t lineage_ = 0;
+  planner::Roadmap spare_;
+  std::uint64_t spare_epoch_ = 0;  ///< 0: no spare
   std::uint64_t metrics_published_base_ = 0;
   std::uint64_t metrics_reclaimed_base_ = 0;
+  std::uint64_t metrics_recycled_base_ = 0;
 };
 
-/// Incremental densification: copy the pool's current roadmap (or start
-/// empty), add `attempts` worth of new PRM samples, connect them into the
-/// whole graph through batched k-NN + the cross-edge batching planner, and
-/// publish the result as the next epoch. Returns the published epoch.
+/// Incremental densification: bring the pool's spare roadmap (or an empty
+/// one) up to the current epoch, add `attempts` worth of new PRM samples,
+/// connect them into the whole graph through batched k-NN + the cross-edge
+/// batching planner, and publish the result as the next epoch of the
+/// current lineage. Returns the published epoch.
 /// The k-NN runs on the current epoch's index extended by the fresh
 /// vertices, and that extended index is published with the epoch; it is
 /// always a KdTreeKnn (`params.exact_knn` would pick a finder with the same

@@ -12,6 +12,7 @@
 
 #include "cspace/local_planner.hpp"
 #include "env/builders.hpp"
+#include "graph/shortest_path.hpp"
 #include "graph/tree_utils.hpp"
 #include "graph/union_find.hpp"
 #include "planner/knn.hpp"
@@ -779,6 +780,66 @@ TEST(Query, PathValidDetectsCollision) {
   const std::vector<Config> good{e->space().at_position({5, 5, 5}, rng),
                                  e->space().at_position({10, 5, 5}, rng)};
   EXPECT_TRUE(path_valid(*e, good, 1.0));
+}
+
+TEST(Query, OverlayAStarMatchesGraphAStarOnTheAugmentedRoadmap) {
+  // find_path_with_attachments against graph::astar over a copy of the
+  // roadmap with start and goal added as real vertices n and n + 1: same
+  // heuristic, same relaxation order, so the same vertices in the same
+  // order. Queries alternate between a larger and a smaller roadmap on one
+  // thread, so the per-thread A* storage is reused across roadmap sizes.
+  const auto e = env::med_cube();
+  PrmParams params;
+  params.k_neighbors = 6;
+  std::vector<Roadmap> maps;
+  for (const std::size_t attempts : {std::size_t{900}, std::size_t{250}}) {
+    Prm prm(*e, params);
+    prm.build(attempts, 41);
+    maps.push_back(prm.roadmap());
+  }
+  const cspace::LocalPlanner lp(e->space(), e->validity(), 1.0);
+  Xoshiro256ss rng(42);
+  std::size_t solved = 0;
+  for (int q = 0; q < 24; ++q) {
+    const Roadmap& g = maps[q % 2];
+    Config start, goal;
+    do start = e->space().sample(rng); while (!e->validity().valid(start));
+    do goal = e->space().sample(rng); while (!e->validity().valid(goal));
+    KdTreeKnn knn(e->space());
+    for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
+      knn.insert(v, g.vertex(v).cfg);
+    const auto attach = [&](const Config& c) {
+      std::vector<AttachEdge> out;
+      for (const Neighbor& nb : knn.nearest(c, params.k_neighbors)) {
+        const auto r = lp.plan(c, g.vertex(nb.id).cfg);
+        if (r.success) out.push_back({nb.id, r.length});
+      }
+      return out;
+    };
+    const auto start_edges = attach(start);
+    const auto goal_edges = attach(goal);
+    const auto path =
+        find_path_with_attachments(*e, g, start, goal, start_edges, goal_edges);
+
+    Roadmap aug(g);
+    const graph::VertexId s = aug.add_vertex({start, 0});
+    const graph::VertexId t = aug.add_vertex({goal, 0});
+    for (const AttachEdge& a : start_edges) aug.add_edge(s, a.to, {a.length});
+    for (const AttachEdge& a : goal_edges) aug.add_edge(a.to, t, {a.length});
+    const auto ref = graph::astar<RoadmapVertex, RoadmapEdge>(
+        aug, s, t, [](const RoadmapEdge& edge) { return edge.length; },
+        [&](graph::VertexId v) {
+          return v == t ? 0.0 : e->space().distance(aug.vertex(v).cfg, goal);
+        });
+    ASSERT_EQ(path.has_value(), ref.has_value()) << "query " << q;
+    if (!ref) continue;
+    ++solved;
+    ASSERT_EQ(path->size(), ref->vertices.size()) << "query " << q;
+    for (std::size_t i = 0; i < path->size(); ++i)
+      EXPECT_EQ((*path)[i], aug.vertex(ref->vertices[i]).cfg)
+          << "query " << q << ", step " << i;
+  }
+  EXPECT_GE(solved, 12u);
 }
 
 // --- RRT ---------------------------------------------------------------

@@ -8,6 +8,9 @@
 //    bit-identically to fresh finders over its roadmap, also while pinned
 //    behind newer epochs and while other threads query it; a tree shared
 //    by several epochs is freed with the last of them;
+//  - densify epochs built on a recycled roadmap are bit-identical to epochs
+//    built from a full copy, never alter a pinned epoch, never mix lineages,
+//    and keep the pool at about two roadmaps of memory;
 //  - the QueryEngine is deterministic: the same snapshot + request sequence
 //    produce bit-identical paths for any worker count, and engine answers
 //    are bit-identical to the sequential query_roadmap baseline;
@@ -20,6 +23,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <span>
@@ -541,7 +545,7 @@ TEST_F(ServiceFixture, MetricsPublishUnderDeterministicKeys) {
         "service/deadline_missed", "service/finder_rebuilds",
         "service/latency_us", "service/epoch", "service/snapshots_live",
         "service/snapshot_readers", "service/snapshots_published",
-        "service/snapshots_reclaimed"}) {
+        "service/snapshots_reclaimed", "service/snapshots_recycled"}) {
     EXPECT_NE(json.find(std::string("\"") + key + "\""), std::string::npos)
         << "missing metrics key: " << key;
   }
@@ -866,6 +870,254 @@ TEST(SnapshotIndex, ReadersQueryAPinnedIndexWhileThePublisherExtendsIt) {
   EXPECT_FALSE(mismatch.load());
   EXPECT_TRUE(rebuilt);
   EXPECT_TRUE(index_matches_fresh_finders(*pinned, e->space(), queries));
+}
+
+// --- recycled epoch storage ------------------------------------------------
+
+/// Bit-level equality of two roadmaps: vertex bytes, adjacency order and
+/// edge lengths, edge count.
+::testing::AssertionResult same_roadmap(const planner::Roadmap& a,
+                                        const planner::Roadmap& b) {
+  if (a.num_vertices() != b.num_vertices() || a.num_edges() != b.num_edges())
+    return ::testing::AssertionFailure()
+           << a.num_vertices() << "/" << a.num_edges() << " vs "
+           << b.num_vertices() << "/" << b.num_edges() << " vertices/edges";
+  const auto n = static_cast<graph::VertexId>(a.num_vertices());
+  for (graph::VertexId v = 0; v < n; ++v) {
+    const auto& ca = a.vertex(v).cfg;
+    const auto& cb = b.vertex(v).cfg;
+    if (ca.size() != cb.size() || a.vertex(v).region != b.vertex(v).region ||
+        std::memcmp(ca.data(), cb.data(), sizeof(double) * ca.size()) != 0)
+      return ::testing::AssertionFailure() << "vertex " << v;
+    const auto ea = a.edges_of(v);
+    const auto eb = b.edges_of(v);
+    if (ea.size() != eb.size())
+      return ::testing::AssertionFailure() << "degree of vertex " << v;
+    for (std::size_t i = 0; i < ea.size(); ++i)
+      if (ea[i].to != eb[i].to ||
+          std::memcmp(&ea[i].prop.length, &eb[i].prop.length,
+                      sizeof(double)) != 0)
+        return ::testing::AssertionFailure()
+               << "edge " << i << " of vertex " << v;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// FNV-1a over the bytes same_roadmap compares.
+std::uint64_t roadmap_hash(const planner::Roadmap& g) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](const void* p, std::size_t n) {
+    const auto* c = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) h = (h ^ c[i]) * 1099511628211ull;
+  };
+  const auto n = static_cast<graph::VertexId>(g.num_vertices());
+  for (graph::VertexId v = 0; v < n; ++v) {
+    const auto& c = g.vertex(v).cfg;
+    mix(c.data(), sizeof(double) * c.size());
+    mix(&g.vertex(v).region, sizeof(std::uint32_t));
+    for (const auto& edge : g.edges_of(v)) {
+      mix(&edge.to, sizeof edge.to);
+      mix(&edge.prop.length, sizeof edge.prop.length);
+    }
+  }
+  const std::size_t edges = g.num_edges();
+  mix(&edges, sizeof edges);
+  return h;
+}
+
+planner::PrmParams recycling_params() {
+  planner::PrmParams params;
+  params.k_neighbors = 6;
+  params.resolution = 0.5;
+  return params;
+}
+
+TEST(SnapshotRecycling, RecycledEpochsMatchCopiedEpochsBitForBit) {
+  // Three pools run the same densify chain. `recycled` has no readers, so
+  // every epoch after the first is built on the previous-but-one epoch's
+  // roadmap, caught up by one epoch. `copied` has a reader pinning every
+  // epoch, so there is no spare and the epoch is built from an empty
+  // roadmap (a full copy), except once per window of six pins, when the
+  // reader drops all but the current epoch. `lagging` releases only its
+  // oldest pin, so every epoch is caught up from five epochs back.
+  const auto e = env::maze_2d();
+  const auto params = recycling_params();
+  const auto base = small_maze_roadmap(300, 7);
+  service::SnapshotPool recycled, copied, lagging;
+  for (auto* pool : {&recycled, &copied, &lagging})
+    pool->publish(planner::Roadmap(base));
+  std::vector<service::SnapshotRef> copied_pins, lagging_pins;
+  copied_pins.push_back(copied.acquire());
+  lagging_pins.push_back(lagging.acquire());
+
+  constexpr std::uint64_t kEpochs = 45;
+  for (std::uint64_t i = 0; i < kEpochs; ++i) {
+    for (auto* pool : {&recycled, &copied, &lagging})
+      ASSERT_EQ(service::densify_and_publish(*pool, *e, params, 40, 300 + i),
+                i + 2);
+    const auto a = recycled.acquire();
+    const auto b = copied.acquire();
+    const auto c = lagging.acquire();
+    EXPECT_TRUE(same_roadmap(a->roadmap, b->roadmap)) << "epoch " << i + 2;
+    EXPECT_TRUE(same_roadmap(a->roadmap, c->roadmap)) << "epoch " << i + 2;
+    EXPECT_GT(a->roadmap.num_vertices(), base.num_vertices());
+
+    copied_pins.push_back(copied.acquire());
+    if (copied_pins.size() == 6)
+      copied_pins.erase(copied_pins.begin(), copied_pins.end() - 1);
+    lagging_pins.push_back(lagging.acquire());
+    if (lagging_pins.size() == 6) lagging_pins.erase(lagging_pins.begin());
+  }
+  // The first densify epoch has no retired predecessor to recycle.
+  EXPECT_EQ(recycled.recycled_total(), kEpochs - 1);
+  EXPECT_EQ(lagging.recycled_total(), kEpochs - 5);
+  EXPECT_GE(copied.recycled_total(), 1u);
+  EXPECT_LE(copied.recycled_total(), kEpochs / 5);
+
+  runtime::MetricsRegistry metrics;
+  recycled.publish_metrics(metrics);
+  EXPECT_EQ(metrics.counter("service/snapshots_recycled").value(),
+            kEpochs - 1);
+  recycled.publish_metrics(metrics);  // deltas: no new recycling
+  EXPECT_EQ(metrics.counter("service/snapshots_recycled").value(),
+            kEpochs - 1);
+}
+
+TEST(SnapshotRecycling, PinnedEpochsStayUnchangedWhileSuccessorsRecycle) {
+  const auto e = env::maze_2d();
+  const auto params = recycling_params();
+  service::SnapshotPool pool;
+  pool.publish(small_maze_roadmap(300, 7));
+  std::vector<std::pair<service::SnapshotRef, std::uint64_t>> pinned;
+  for (std::uint64_t i = 0; i < 42; ++i) {
+    service::densify_and_publish(pool, *e, params, 40, 500 + i);
+    if (i % 10 == 3) {
+      auto ref = pool.acquire();
+      const std::uint64_t h = roadmap_hash(ref->roadmap);
+      pinned.emplace_back(std::move(ref), h);
+    }
+  }
+  EXPECT_GE(pool.recycled_total(), 35u);
+  ASSERT_EQ(pinned.size(), 4u);
+  for (const auto& [ref, h] : pinned)
+    EXPECT_EQ(roadmap_hash(ref->roadmap), h) << "epoch " << ref->epoch;
+}
+
+TEST(SnapshotRecycling, WholePublishStartsANewLineage) {
+  // A chain on roadmap A, then A' published whole in its middle. The spare
+  // left by A's chain, and an A epoch pinned across the switch and released
+  // after it, must never seed an epoch of the A' chain: every A' epoch
+  // equals the same chain run in a pool that only ever saw A'.
+  const auto e = env::maze_2d();
+  const auto params = recycling_params();
+  service::SnapshotPool pool, reference;
+  pool.publish(small_maze_roadmap(300, 7));
+  for (std::uint64_t i = 0; i < 6; ++i)
+    service::densify_and_publish(pool, *e, params, 40, 700 + i);
+  auto old_epoch = pool.acquire();
+  const std::uint64_t old_lineage = old_epoch->lineage;
+
+  const auto switched = small_maze_roadmap(250, 8);
+  pool.publish(planner::Roadmap(switched));
+  reference.publish(planner::Roadmap(switched));
+  const std::uint64_t recycled_before = pool.recycled_total();
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    service::densify_and_publish(pool, *e, params, 40, 800 + i);
+    service::densify_and_publish(reference, *e, params, 40, 800 + i);
+    if (i == 1) old_epoch.release();  // reclaims an epoch of the old chain
+    const auto a = pool.acquire();
+    const auto b = reference.acquire();
+    EXPECT_NE(a->lineage, old_lineage);
+    EXPECT_TRUE(same_roadmap(a->roadmap, b->roadmap)) << "step " << i;
+  }
+  // The first epoch after the switch found no spare: the old chain's was
+  // dropped. Each later one recycled the new chain's previous-but-one.
+  EXPECT_EQ(pool.recycled_total() - recycled_before, 5u);
+  EXPECT_EQ(reference.recycled_total(), 5u);
+}
+
+TEST(SnapshotRecycling, UnpinnedChainHoldsAboutTwoRoadmaps) {
+  const auto e = env::maze_2d();
+  const auto params = recycling_params();
+  const auto base = small_maze_roadmap(300, 7);
+  {  // first use of the planner code paths, outside the measurement
+    service::SnapshotPool warm;
+    warm.publish(planner::Roadmap(base));
+    service::densify_and_publish(warm, *e, params, 40, 1);
+  }
+
+  const std::int64_t baseline = outstanding_allocations();
+  {
+    service::SnapshotPool pool;
+    pool.publish(planner::Roadmap(base));
+    for (std::uint64_t i = 0; i < 40; ++i) {
+      service::densify_and_publish(pool, *e, params, 40, 1100 + i);
+      const std::int64_t held = outstanding_allocations() - baseline;
+      // Allocations of one roadmap of the current size.
+      std::int64_t one_roadmap = 0;
+      {
+        auto cur = pool.acquire();
+        const std::int64_t mark = outstanding_allocations();
+        const planner::Roadmap copy(cur->roadmap);
+        one_roadmap = outstanding_allocations() - mark;
+      }
+      // The current epoch and the spare, plus the current snapshot and its
+      // index (a few dozen allocations).
+      EXPECT_LE(held, 2 * one_roadmap + 64) << "epoch " << i + 2;
+    }
+    EXPECT_EQ(pool.recycled_total(), 39u);
+    EXPECT_EQ(pool.live_slots(), 1u);
+  }
+  EXPECT_EQ(outstanding_allocations(), baseline);
+}
+
+TEST(SnapshotRecycling, ReaderThreadsRecycleWhileThePublisherDensifies) {
+  // The TSan target for recycling: readers pin, read and unpin the current
+  // epoch in a loop, so the last unpin of a retired epoch, and with it the
+  // move of its roadmap into the spare, often happens on a reader thread
+  // while the publisher takes the spare and extends it.
+  const auto e = env::maze_2d();
+  const auto params = recycling_params();
+  service::SnapshotPool pool;
+  pool.publish(small_maze_roadmap(300, 7));
+
+  constexpr std::uint64_t kPublishes = 30;
+  std::vector<std::uint64_t> expected(kPublishes + 2, 0);
+  expected[1] = roadmap_hash(pool.acquire()->roadmap);
+
+  constexpr int kReaders = 3;
+  std::atomic<bool> stop{false};
+  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> seen(
+      kReaders);
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      while (!stop.load(std::memory_order_acquire)) {
+        auto ref = pool.acquire();
+        seen[t].emplace_back(ref->epoch, roadmap_hash(ref->roadmap));
+      }
+    });
+  }
+  for (std::uint64_t i = 0; i < kPublishes; ++i) {
+    const std::uint64_t epoch =
+        service::densify_and_publish(pool, *e, params, 30, 1300 + i);
+    expected[epoch] = roadmap_hash(pool.acquire()->roadmap);
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  std::size_t reads = 0;
+  for (const auto& per_thread : seen)
+    for (const auto& [epoch, h] : per_thread) {
+      ++reads;
+      ASSERT_LT(epoch, expected.size());
+      EXPECT_EQ(h, expected[epoch]) << "epoch " << epoch;
+    }
+  EXPECT_GT(reads, 0u);
+  EXPECT_GT(pool.recycled_total(), 0u);
+  EXPECT_EQ(pool.live_slots(), 1u);
+  EXPECT_EQ(pool.reclaimed_total(), kPublishes);
 }
 
 }  // namespace
